@@ -1,8 +1,8 @@
 """Perf harness — train and identify throughput, before vs. after.
 
-Compares the optimized identification hot path (memoized F', interned
-packet symbols, grouped references, best-score cutoff in the edit
-distance) against an in-harness replica of the pre-optimization pipeline
+Compares the optimized identification hot path (memoized F', grouped
+references compiled once for the bit-vector edit-distance kernel, a
+best-score bound across candidates) against an in-harness replica of the pre-optimization pipeline
 (F' recomputed per call, 23-float-tuple symbols, full unbounded distance
 sums).  Both paths share the same trained classifier bank, so any label
 disagreement is a correctness bug, not noise — the harness asserts

@@ -6,78 +6,81 @@ as a word whose characters are packet columns; two characters are equal iff
 substitutions and *immediate transpositions* (the restricted /
 optimal-string-alignment variant of Damerau [24]) and is normalized by the
 longer sequence's length to land in [0, 1].
+
+Every OSA distance here comes from one kernel, Hyyrö's bit-vector
+algorithm (Hyyrö 2003, "A Bit-Vector Algorithm for Computing Levenshtein
+and Damerau Edit Distances").  One sequence is compiled into a
+:class:`Pattern` — a table of per-symbol match masks — and the other is
+scanned once, each symbol updating a whole DP column with a fixed handful
+of integer operations.  The discrimination step compiles each reference
+fingerprint once and reuses its pattern for every query.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import Hashable
+from collections.abc import Hashable, Iterable, Sequence
+from typing import NamedTuple
 
 __all__ = [
+    "Pattern",
+    "compile_pattern",
+    "osa_distance",
     "damerau_levenshtein",
     "damerau_levenshtein_unrestricted",
     "normalized_distance",
     "dissimilarity_score",
     "dissimilarity_score_grouped",
+    "dissimilarity_score_patterns",
 ]
 
 
-def _osa_distance(a: Sequence[Hashable], b: Sequence[Hashable], cutoff: int | None) -> int:
-    """OSA distance DP with optional early abandon at ``cutoff``.
+class Pattern(NamedTuple):
+    """A sequence prepared as the pattern side of :func:`osa_distance`.
 
-    Returns the exact distance when it is < ``cutoff`` (or ``cutoff`` is
-    None); otherwise returns ``cutoff`` as soon as the distance is provably
-    at least that large.  The inner loop carries the left/diagonal cells in
-    locals — it runs millions of times per identification batch.
+    Bit ``i`` of ``masks[s]`` is set iff the sequence's ``i``-th symbol is
+    ``s``; a symbol absent from the table matches nowhere.
     """
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    if cutoff is not None and abs(n - m) >= cutoff:
-        return cutoff  # distance ≥ |n - m| ≥ cutoff: abandon before the DP
-    previous2 = [0] * (m + 1)
-    previous = list(range(m + 1))
-    prev_min = 0
-    a_prev: Hashable = None
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        current = [0] * (m + 1)
-        current[0] = left = row_min = i
-        diag = i - 1  # previous[0]
-        b_prev: Hashable = None
-        for j in range(1, m + 1):
-            bj = b[j - 1]
-            above = previous[j]
-            value = diag if ai == bj else diag + 1  # substitution / match
-            insertion = left + 1
-            if insertion < value:
-                value = insertion
-            deletion = above + 1
-            if deletion < value:
-                value = deletion
-            if i > 1 and j > 1 and ai == b_prev and a_prev == bj:
-                transposition = previous2[j - 2] + 1
-                if transposition < value:
-                    value = transposition
-            current[j] = left = value
-            diag = above
-            if value < row_min:
-                row_min = value
-            b_prev = bj
-        # Any alignment path visits at least one of two consecutive DP rows
-        # (a transposition skips at most one) and cell values along a path
-        # never decrease, so once both row minima reach the cutoff the final
-        # distance cannot come in below it.
-        if cutoff is not None and row_min >= cutoff and prev_min >= cutoff:
-            return cutoff
-        prev_min = row_min
-        previous2 = previous
-        previous = current
-        a_prev = ai
-    return previous[m]
+
+    masks: dict[Hashable, int]
+    length: int
+
+
+def compile_pattern(sequence: Sequence[Hashable]) -> Pattern:
+    """Build the match-mask table of ``sequence``."""
+    masks: dict[Hashable, int] = {}
+    for i, symbol in enumerate(sequence):
+        masks[symbol] = masks.get(symbol, 0) | (1 << i)
+    return Pattern(masks, len(sequence))
+
+
+def osa_distance(pattern: Pattern, text: Sequence[Hashable]) -> int:
+    """Exact OSA distance between a compiled pattern and ``text``.
+
+    Column ``j`` of the DP (the pattern against the first ``j`` text
+    symbols) is kept as two bit vectors of vertical differences: bit ``i``
+    of ``vp``/``vn`` is set when ``D[i+1][j] - D[i][j]`` is +1/-1.  Bit
+    ``i`` of ``d0`` is set when ``D[i+1][j]`` equals its diagonal
+    predecessor ``D[i][j-1]`` (a match, a transposition through ``tr``, or
+    a zero-cost run carried down the column); the horizontal differences
+    ``hp``/``hn`` and the next column follow from it.  Row 0 is
+    ``D[0][j] = j``, so the distance is ``n`` plus the final column's
+    vertical differences.
+    """
+    masks, m = pattern
+    full = (1 << m) - 1
+    get = masks.get
+    vp, vn, d0, pm_prev = full, 0, 0, 0
+    for symbol in text:
+        pm = get(symbol, 0)
+        tr = ((~d0 & pm) << 1) & pm_prev
+        d0 = ((((pm & vp) + vp) ^ vp) | pm | vn | tr) & full
+        hp = ((vn | (full ^ (d0 | vp))) << 1) | 1
+        hn = (d0 & vp) << 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = hp & d0
+        pm_prev = pm
+    return len(text) + vp.bit_count() - vn.bit_count()
 
 
 def damerau_levenshtein(
@@ -85,33 +88,19 @@ def damerau_levenshtein(
 ) -> int:
     """Restricted Damerau–Levenshtein (OSA) distance between two sequences.
 
-    With ``cutoff`` set, computation may stop early once the distance is
-    provably ≥ ``cutoff``; the return value is then some integer in
-    ``[cutoff, true distance]``.  Whenever the true distance is *below*
-    ``cutoff`` the exact value is returned, so callers that only care
-    about "is it closer than my current best?" get the exact answer in
-    the cases that matter and a cheap certificate otherwise.
-
-    Without ``cutoff`` the result is always exact, computed by iterative
-    deepening (doubling an internal abandon threshold): similar sequences
-    — the common case for a fingerprint against its own type's references
-    — cost O(d·m) for true distance ``d`` instead of O(n·m).
+    ``cutoff`` keeps the early-abandon contract of callers that only ask
+    "is it closer than my current best?": the result is exact below
+    ``cutoff`` and some integer in ``[cutoff, true distance]`` otherwise.
+    The bit-vector kernel is cheap enough to always return the exact
+    value, which meets that contract for every cutoff.
     """
-    if cutoff is not None:
-        if cutoff < 1:
-            raise ValueError("cutoff must be a positive integer")
-        return _osa_distance(a, b, cutoff)
-    n, m = len(a), len(b)
-    longest = max(n, m)
-    threshold = max(abs(n - m) + 1, 8)
-    # Deepen while an abandoned pass would still be much cheaper than the
-    # full DP; past a quarter of the longest length, just run it in full.
-    while threshold * 4 < longest:
-        distance = _osa_distance(a, b, threshold)
-        if distance < threshold:
-            return distance
-        threshold *= 2
-    return _osa_distance(a, b, None)
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be a positive integer")
+    if len(a) < len(b):
+        a, b = b, a
+    # The longer sequence is the pattern: one kernel step per symbol of
+    # the shorter one, on wider integers.
+    return osa_distance(compile_pattern(a), b)
 
 
 def damerau_levenshtein_unrestricted(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -124,7 +113,8 @@ def damerau_levenshtein_unrestricted(a: Sequence[Hashable], b: Sequence[Hashable
 
     Exposed for the distance-variant ablation; the pipeline defaults to
     the OSA variant, which is what fingerprint implementations typically
-    ship and is ~2× faster per comparison.
+    ship and which the bit-vector kernel computes far faster than this
+    DP (``benchmarks/results/ablation_distance.txt``).
     """
     n, m = len(a), len(b)
     if n == 0:
@@ -167,19 +157,15 @@ def normalized_distance(
 ) -> float:
     """Edit distance divided by the longer length, bounded on [0, 1].
 
-    ``cutoff`` (a normalized bound) enables early abandon: the result is
-    exact whenever the true normalized distance is ≤ ``cutoff``, and
-    otherwise lies in ``(cutoff, true distance]``.
+    ``cutoff`` (a normalized bound) keeps the early-abandon contract: the
+    result is exact whenever the true normalized distance is ≤ ``cutoff``
+    and otherwise lies in ``(cutoff, true distance]``.  The value is always
+    exact, which meets it.
     """
     longest = max(len(a), len(b))
     if longest == 0:
         return 0.0
-    if cutoff is None:
-        return damerau_levenshtein(a, b) / longest
-    # Smallest integer distance that would push the normalized value past
-    # the bound; any true distance at or below cutoff·longest stays exact.
-    int_cutoff = int(cutoff * longest) + 1
-    return damerau_levenshtein(a, b, cutoff=int_cutoff) / longest
+    return damerau_levenshtein(a, b) / longest
 
 
 def dissimilarity_score(
@@ -214,21 +200,34 @@ def dissimilarity_score_grouped(
 
     Reference fingerprints are repeated setup runs and frequently identical;
     grouping computes each distinct reference's distance once and weights it
-    by multiplicity — the same sum, fewer DP runs.  ``bound`` semantics match
-    :func:`dissimilarity_score`.
+    by multiplicity — the same sum, fewer kernel runs.  ``bound`` semantics
+    match :func:`dissimilarity_score`.
+    """
+    patterns = ((compile_pattern(reference), count) for reference, count in groups)
+    return dissimilarity_score_patterns(candidate, patterns, bound=bound)
+
+
+def dissimilarity_score_patterns(
+    candidate: Sequence[Hashable],
+    patterns: Iterable[tuple[Pattern, int]],
+    *,
+    bound: float | None = None,
+) -> float:
+    """:func:`dissimilarity_score_grouped` over precompiled references.
+
+    The discrimination step compiles each distinct reference once and
+    passes ``(pattern, count)`` groups here, so a query costs one kernel
+    pass over its symbols per reference.
     """
     total = 0.0
-    for reference, count in groups:
-        if bound is None:
-            total += count * normalized_distance(candidate, reference)
-        else:
-            remaining = (bound - total) / count
-            term = normalized_distance(candidate, reference, cutoff=remaining)
-            total += count * term
-            if term > remaining:
-                # The term (exact, or an abandoned-DP certificate strictly
-                # above the cutoff) exceeds the remaining budget, so the true
-                # score is provably > bound — but the rounded running sum can
-                # land exactly on bound, so bump past it explicitly.
-                return max(total, math.nextafter(bound, math.inf))
+    n = len(candidate)
+    for pattern, count in patterns:
+        longest = max(n, pattern.length)
+        term = osa_distance(pattern, candidate) / longest if longest else 0.0
+        if bound is not None and term > (bound - total) / count:
+            # The term exceeds the remaining budget, so the true score is
+            # > bound — but the rounded running sum can land exactly on
+            # bound, so bump past it explicitly.
+            return max(total + count * term, math.nextafter(bound, math.inf))
+        total += count * term
     return total

@@ -27,6 +27,7 @@ __all__ = [
     "dedupe_consecutive",
     "fixed_vector",
     "intern_symbol",
+    "lookup_symbols",
 ]
 
 
@@ -67,11 +68,11 @@ def fixed_vector(
 
 
 # Process-wide intern table mapping packet feature tuples to small integer
-# ids.  Edit-distance discrimination compares packet "characters" millions
-# of times per batch; comparing interned ints instead of 23-float tuples
-# keeps equality O(1) and cache-friendly.  The table is append-only and
-# bounded by the number of *distinct* packet vectors ever fingerprinted
-# (small in practice: feature vectors are heavily quantized).
+# ids.  Edit-distance discrimination keys its match masks by these ids, so
+# a 23-float tuple is hashed once per fingerprint rather than once per
+# comparison.  The table is append-only; only reference fingerprints are
+# interned (queries go through :func:`lookup_symbols`), so it is bounded by
+# the distinct packet vectors of the trained and enrolled references.
 _SYMBOL_IDS: dict[tuple[float, ...], int] = {}
 _SYMBOL_LOCK = threading.Lock()
 
@@ -85,6 +86,18 @@ def intern_symbol(packet: tuple[float, ...]) -> int:
             if sid is None:
                 sid = _SYMBOL_IDS[packet] = len(_SYMBOL_IDS)
     return sid
+
+
+def lookup_symbols(packets: Iterable[tuple[float, ...]]) -> tuple[int, ...]:
+    """Interned ids of ``packets``, ``-1`` for any not yet interned.
+
+    Never inserts, so client-supplied queries cannot grow the table.  A
+    packet that no interned sequence holds cannot match any of them, and
+    the edit distance only compares symbols across its two sequences, so
+    mapping all such packets to one id is exact.
+    """
+    get = _SYMBOL_IDS.get
+    return tuple([get(packet, -1) for packet in packets])
 
 
 @dataclass(frozen=True)

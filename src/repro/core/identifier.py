@@ -32,8 +32,8 @@ from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 from repro.obs import span as obs_span
 
-from .editdistance import dissimilarity_score_grouped
-from .fingerprint import DEFAULT_FP_PACKETS, Fingerprint
+from .editdistance import Pattern, compile_pattern, dissimilarity_score_patterns
+from .fingerprint import DEFAULT_FP_PACKETS, Fingerprint, lookup_symbols
 from .registry import DeviceTypeRegistry
 
 __all__ = ["UNKNOWN_DEVICE", "IdentificationResult", "DeviceIdentifier"]
@@ -61,7 +61,7 @@ class _TypeModel:
     label: str
     classifier: RandomForestClassifier
     references: list[Fingerprint]
-    _grouped_symbols: list[tuple[tuple[int, ...], int]] | None = field(
+    _patterns: list[tuple[Pattern, int]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -70,13 +70,20 @@ class _TypeModel:
 
         Repeated setup runs often yield identical fingerprints; the
         discrimination step computes each distinct sequence's distance once
-        and weights it.  Sorted for a deterministic evaluation order;
-        computed lazily and cached (references never change post-training).
+        and weights it.  Sorted for a deterministic evaluation order.
         """
-        if self._grouped_symbols is None:
-            counts = Counter(ref.symbols() for ref in self.references)
-            self._grouped_symbols = sorted(counts.items())
-        return self._grouped_symbols
+        return sorted(Counter(ref.symbols() for ref in self.references).items())
+
+    def reference_patterns(self) -> list[tuple[Pattern, int]]:
+        """:meth:`grouped_reference_symbols` compiled for the edit-distance
+        kernel: one match-mask table per distinct reference.  Computed
+        lazily and cached (references never change post-training)."""
+        if self._patterns is None:
+            self._patterns = [
+                (compile_pattern(symbols), count)
+                for symbols, count in self.grouped_reference_symbols()
+            ]
+        return self._patterns
 
 
 class DeviceIdentifier:
@@ -256,12 +263,14 @@ class DeviceIdentifier:
                     types=bank.n_forests,
                 ):
                     positive = bank.positive_proba(stacked)
-                # Same label order as the interpreted loop below, and the
+                # Row-major order gives each row its labels in bank order,
+                # the label order of the interpreted loop below, and the
                 # probabilities are byte-identical, so the candidate lists
                 # cannot differ between the two paths.
-                for j, label in enumerate(bank.labels):
-                    for row in np.flatnonzero(positive[:, j] >= self.accept_threshold):
-                        candidates[int(row)].append(label)
+                rows, cols = np.nonzero(positive >= self.accept_threshold)
+                labels = bank.labels
+                for row, col in zip(rows.tolist(), cols.tolist()):
+                    candidates[row].append(labels[col])
                 return candidates
             for label, model in sorted(self._models.items()):
                 with obs_span(obs_names.SPAN_CLASSIFY_MODEL, label=label):
@@ -291,13 +300,16 @@ class DeviceIdentifier:
             raise ValueError("no candidates to discriminate")
         with obs_span(obs_names.SPAN_DISCRIMINATE, candidates=len(candidates)):
             obs_counter(obs_names.METRIC_DISCRIMINATIONS).inc()
-            symbols = fingerprint.symbols()
+            ordered = sorted(candidates)
+            # Compile (and so intern) the references before looking the
+            # query up: a query packet matches only interned symbols.
+            patterns = [self._models[label].reference_patterns() for label in ordered]
+            query = lookup_symbols(fingerprint.packets)
             scores: dict[str, float] = {}
             best = float("inf")
-            for label in sorted(candidates):
-                groups = self._models[label].grouped_reference_symbols()
+            for label, groups in zip(ordered, patterns):
                 bound = None if best == float("inf") else best + self.TIE_TOLERANCE
-                score = dissimilarity_score_grouped(symbols, groups, bound=bound)
+                score = dissimilarity_score_patterns(query, groups, bound=bound)
                 scores[label] = score
                 if score < best:
                     best = score

@@ -15,8 +15,11 @@ learns *what* was wrong instead of getting a bare status code.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
+from repro.core.constants import NUM_FEATURES
+from repro.core.fingerprint import Fingerprint
 from repro.core.persistence import fingerprint_from_dict, fingerprint_to_dict
 from repro.sdn.overlay import IsolationLevel
 
@@ -41,6 +44,20 @@ def _require_mapping(data: object, what: str) -> Mapping:
     return data
 
 
+def _check_fingerprint(fingerprint: Fingerprint) -> None:
+    """Reject what the identifier cannot score: it would raise (a 500)
+    or hand back a confident verdict for a fingerprint that carries none."""
+    if not fingerprint.packets:
+        raise WireError("fingerprint has no packets")
+    for index, packet in enumerate(fingerprint.packets):
+        if len(packet) != NUM_FEATURES:
+            raise WireError(
+                f"packet {index} has {len(packet)} features, expected {NUM_FEATURES}"
+            )
+        if not all(map(math.isfinite, packet)):
+            raise WireError(f"packet {index} has a non-finite feature")
+
+
 def report_to_dict(report: FingerprintReport) -> dict:
     body: dict = {"fingerprint": fingerprint_to_dict(report.fingerprint)}
     if report.gateway_id is not None:
@@ -58,6 +75,7 @@ def report_from_dict(data: object) -> FingerprintReport:
         fingerprint = fingerprint_from_dict(dict(raw))
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed fingerprint: {exc}") from exc
+    _check_fingerprint(fingerprint)
     gateway_id = mapping.get("gateway_id")
     if gateway_id is not None and not isinstance(gateway_id, str):
         raise WireError("report 'gateway_id' must be a string when present")

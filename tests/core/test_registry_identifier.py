@@ -172,7 +172,7 @@ class TestDeterministicIdentification:
         # Force an exact tie: both candidate types get identical references.
         refs = identifier._models["type0"].references
         identifier._models["type1"].references = list(refs)
-        identifier._models["type1"]._grouped_symbols = None
+        identifier._models["type1"]._patterns = None
         return registry, identifier
 
     def test_tie_breaks_lexicographically(self):
